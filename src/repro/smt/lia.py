@@ -6,8 +6,18 @@ integer-valued atoms, and produces integer models.
 
 Algorithm
 ---------
-1. *Constant propagation* pins atoms forced to a single value and folds
-   nonlinear product atoms whose factors become known.
+1. *Constant propagation* pins variables forced to a single value by a
+   unary equality and folds nonlinear product atoms whose factors become
+   known.  It runs in rounds: a round checks the constraints rewritten
+   by the previous one (all of them, the first time), drops constant
+   ones and pins unary equalities; then it rewrites only the constraints
+   that mention a variable it pinned, directly or as a product factor,
+   or hold a product it can fold, substituting all of that round's pins
+   in one walk over each expression.  Past one scan of the input, the
+   work is proportional to the size of the constraints it rewrites: an
+   equality chain of ``n`` links costs ``O(n)`` rewrites, where
+   substituting every pin into every constraint each round cost
+   ``O(n^3)`` single-atom substitutions.
 2. Remaining *nonlinear* atoms (products of two or more variables) are
    handled by a fair bounded enumeration of their variables, seeded with
    the constants appearing in the problem; each assignment reduces the
@@ -57,8 +67,12 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
     """Normalise to integer coefficients; fold strictness into the constant.
 
     For integer-valued atoms, ``e < 0`` is ``e + 1 <= 0`` once ``e`` has
-    integer coefficients, and ``a_i x_i <= b`` tightens to
-    ``(a_i/g) x_i <= floor(b/g)`` for ``g = gcd(a_i)``.
+    integer coefficients.  With ``g = gcd(a_i)``, ``a_i x_i + c <= 0``
+    says ``(a_i/g) x_i <= -c/g``; the left side is an integer, so the
+    bound rounds down to ``floor(-c/g)`` and the constraint tightens to
+    ``(a_i/g) x_i + ceil(c/g) <= 0`` (the constant rounds *up*).  An
+    equality or disequality divides through by ``g`` when ``g`` divides
+    ``c``; otherwise the equality is false and the disequality true.
     """
     denoms = [c.denominator for _, c in expr.coeffs] + [expr.const.denominator]
     scale = math.lcm(*denoms) if denoms else 1
@@ -71,7 +85,7 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
     if kind == LE and coeffs:
         g = math.gcd(*(abs(c) for c in coeffs))
         if g > 1:
-            const = Fraction(math.floor(Fraction(e.const) / g))
+            const = Fraction(math.ceil(Fraction(e.const) / g))
             e = LinExpr.from_dict(
                 {a: c / g for a, c in e.coeffs}, const
             )
@@ -80,8 +94,8 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
         if g > 1:
             if e.const % g != 0:
                 # gcd does not divide the constant: eq is UNSAT, ne is valid.
-                # Encode with a constant-only expr the caller will resolve.
-                return Constraint(LinExpr.constant(0 if kind == NE else 1), kind)
+                # ``1 = 0`` is false and ``1 != 0`` true, as required.
+                return Constraint(LinExpr.constant(1), kind)
             e = e.scale(Fraction(1, g))
     return Constraint(e, kind)
 
@@ -335,8 +349,9 @@ def _solve_rational(
         assignment[x] = _pick_value(lb, ub)
 
     # Any atom not touched by inequalities is free: pick 0.
+    substituted = {s for s, _ in substitutions}
     for a in all_atoms:
-        if a not in assignment and not any(a == s for s, _ in substitutions):
+        if a not in assignment and a not in substituted:
             assignment[a] = Fraction(0)
 
     # Unwind equality substitutions.
@@ -393,15 +408,28 @@ def _propagate_constants(
     Only plain variables are ever pinned: pinning a product atom would
     silently decouple it from its factors and make SAT answers unsound.
 
+    Each round checks only the constraints the previous round rewrote,
+    and rewrites only those that mention a variable it pinned or hold a
+    product ``_fold_products`` would change; every other constraint
+    would come out of the rewrite unchanged.
+
     Returns (constraints', pinned) where constraints' is None on direct
     contradiction.
     """
     pinned: dict[LinAtom, int] = {}
     cons = list(constraints)
-    for _round in range(len(constraints) + 8):
+    alive = [True] * len(cons)
+    check: Sequence[int] = range(len(cons))
+    # Variable -> positions whose constraint mentions it, directly or as
+    # a product factor; built after the first round, over the constraints
+    # it kept.  Entries may go stale; a stale one costs a no-op rewrite.
+    occurs: Optional[dict[LinAtom, list[int]]] = None
+    foldable: set[int] = set()
+    while check:
         progress = False
-        out: list[Constraint] = []
-        for c in cons:
+        fresh: dict[LinAtom, int] = {}
+        for i in check:
+            c = cons[i]
             e = c.expr
             if e.is_constant:
                 v = e.const
@@ -412,6 +440,7 @@ def _propagate_constants(
                 )
                 if not ok:
                     return None, pinned
+                alive[i] = False
                 progress = True
                 continue
             if c.kind == EQ and len(e.coeffs) == 1:
@@ -421,22 +450,74 @@ def _propagate_constants(
                     return None, pinned
                 if isinstance(atom, Var):
                     prev = pinned.get(atom)
-                    if prev is not None and prev != int(value):
+                    if prev is None:
+                        fresh[atom] = pinned[atom] = int(value)
+                    elif prev != value:
                         return None, pinned
-                    pinned[atom] = int(value)
+                    alive[i] = False
                     progress = True
                     continue
-            out.append(c)
         if not progress:
-            return out, pinned
-        cons = []
-        for c in out:
-            e = c.expr
-            for atom, val in pinned.items():
-                e = e.substitute(atom, LinExpr.constant(val))
-            e = _fold_products(e, pinned)
-            cons.append(Constraint(e, c.kind))
-    return cons, pinned
+            break
+        if occurs is None:
+            occurs = {}
+            for i, c in enumerate(cons):
+                if alive[i]:
+                    _index(i, c.expr, pinned, occurs, foldable)
+        touched = set(foldable)
+        subst: dict[LinAtom, LinExpr] = {}
+        for a, v in fresh.items():
+            positions = occurs.pop(a, None)
+            if positions:
+                touched.update(positions)
+                subst[a] = LinExpr.constant(v)
+        check = sorted(i for i in touched if alive[i])
+        foldable = set()
+        for i in check:
+            c = cons[i]
+            e = _fold_products(c.expr.substitute_many(subst), pinned)
+            cons[i] = Constraint(e, c.kind)
+            _index(i, e, pinned, occurs, foldable)
+    return [c for c, keep in zip(cons, alive) if keep], pinned
+
+
+def _index(
+    i: int,
+    e: LinExpr,
+    pinned: dict[LinAtom, int],
+    occurs: dict[LinAtom, list[int]],
+    foldable: set[int],
+) -> None:
+    """File position ``i`` under every variable ``e`` mentions, directly
+    or as a product factor, and in ``foldable`` when ``_fold_products``
+    would change ``e``."""
+    for a, _ in e.coeffs:
+        if isinstance(a, Var):
+            occurs.setdefault(a, []).append(i)
+        elif isinstance(a, Mul):
+            if _fold_product(a, pinned) is not None:
+                foldable.add(i)
+            for f in a.args:
+                if isinstance(f, Var):
+                    occurs.setdefault(f, []).append(i)
+
+
+def _fold_product(atom: Mul, pinned: dict[LinAtom, int]) -> Optional[LinExpr]:
+    """The linear form of ``atom`` once at most one factor is unknown."""
+    const = 1
+    unknown: list[Term] = []
+    for factor in atom.args:
+        if isinstance(factor, IntConst):
+            const *= factor.value
+        elif factor in pinned:
+            const *= pinned[factor]
+        else:
+            unknown.append(factor)
+    if len(unknown) == 0:
+        return LinExpr.constant(const)
+    if len(unknown) == 1:
+        return LinExpr.atom(unknown[0], const)
+    return None
 
 
 def _fold_products(e: LinExpr, pinned: dict[LinAtom, int]) -> LinExpr:
@@ -445,21 +526,9 @@ def _fold_products(e: LinExpr, pinned: dict[LinAtom, int]) -> LinExpr:
     for atom in list(e.atoms()):
         if not isinstance(atom, Mul):
             continue
-        const = 1
-        unknown: list[Term] = []
-        for factor in atom.args:
-            if isinstance(factor, IntConst):
-                const *= factor.value
-            elif factor in pinned:
-                const *= pinned[factor]
-            else:
-                unknown.append(factor)
-        if len(unknown) == 0:
-            result = result.substitute(atom, LinExpr.constant(const))
-        elif len(unknown) == 1:
-            result = result.substitute(
-                atom, LinExpr.atom(unknown[0], const)
-            )
+        repl = _fold_product(atom, pinned)
+        if repl is not None:
+            result = result.substitute(atom, repl)
     return result
 
 
@@ -482,14 +551,11 @@ def _nonlinear_vars(constraints: list[Constraint]) -> set[Var]:
 def _substitute_all(
     constraints: list[Constraint], subst: dict[Var, int]
 ) -> list[Constraint]:
-    out = []
-    for c in constraints:
-        e = c.expr
-        for v, val in subst.items():
-            e = e.substitute(v, LinExpr.constant(val))
-        e = _fold_products(e, dict(subst))
-        out.append(Constraint(e, c.kind))
-    return out
+    repl = {v: LinExpr.constant(val) for v, val in subst.items()}
+    return [
+        Constraint(_fold_products(c.expr.substitute_many(repl), subst), c.kind)
+        for c in constraints
+    ]
 
 
 def _seed_values(constraints: list[Constraint], half_width: int) -> list[int]:

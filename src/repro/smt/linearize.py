@@ -84,8 +84,9 @@ class LinExpr:
         k = Fraction(k)
         if k == 0:
             return LinExpr.constant(0)
-        return LinExpr.from_dict(
-            {a: c * k for a, c in self.coeffs}, self.const * k
+        # A non-zero factor keeps every atom, so the order stands.
+        return LinExpr(
+            tuple((a, c * k) for a, c in self.coeffs), self.const * k
         )
 
     def sub(self, other: "LinExpr") -> "LinExpr":
@@ -93,12 +94,35 @@ class LinExpr:
 
     def substitute(self, a: LinAtom, repl: "LinExpr") -> "LinExpr":
         """Replace atom ``a`` with expression ``repl``."""
-        c = self.coeff_of(a)
-        if c == 0:
+        return self.substitute_many({a: repl})
+
+    def substitute_many(self, subst: dict[LinAtom, "LinExpr"]) -> "LinExpr":
+        """Replace every atom of ``subst`` by its expression in one walk.
+
+        The replacements are simultaneous: atoms inside a replacement
+        are not rewritten in turn.  Returns ``self`` when no atom of
+        ``subst`` occurs.  When every replaced atom maps to a constant,
+        the kept coefficients keep their order; otherwise the merge is
+        ordered as :meth:`add` orders it.
+        """
+        kept: list[tuple[LinAtom, Fraction]] = []
+        merged: list[tuple[LinAtom, Fraction]] = []
+        const = self.const
+        for a, c in self.coeffs:
+            repl = subst.get(a)
+            if repl is None:
+                kept.append((a, c))
+                continue
+            const += repl.const * c
+            merged.extend((b, cb * c) for b, cb in repl.coeffs)
+        if len(kept) == len(self.coeffs):
             return self
-        d = self.as_dict()
-        del d[a]
-        return LinExpr.from_dict(d, self.const).add(repl.scale(c))
+        if not merged:
+            return LinExpr(tuple(kept), const)
+        d = dict(kept)
+        for b, cb in merged:
+            d[b] = d.get(b, Fraction(0)) + cb
+        return LinExpr.from_dict(d, const)
 
     def __repr__(self) -> str:
         parts = [f"{c}*{a!r}" for a, c in self.coeffs]
