@@ -3,8 +3,7 @@
 Translates a heap ``Σ`` into a first-order formula over one integer
 variable per location.  Only base values are encoded; lambdas contribute
 no constraints, and ``case`` mappings contribute functional-consistency
-facts.  Two translation modes are provided (an ablation described in
-DESIGN.md):
+facts.  Two translation modes are provided (an ablation):
 
 * ``"implications"`` (paper-faithful): a mapping
   ``case [L1 ↦ L2] [L3 ↦ L4]`` becomes ``(L1 = L3) ⇒ (L2 = L4)`` for all

@@ -21,7 +21,7 @@ typed machine knows the primitive.
 Adding a primitive family is a handful of declarations here (plus
 concrete impls, plus — only if it introduces a new heap shape — a tag
 and storeable in ``scv.heap``); see the string/vector block at the end
-and ARCHITECTURE.md "Primitive registry".
+and docs/ARCHITECTURE.md "Primitive registry".
 """
 
 from __future__ import annotations

@@ -24,10 +24,24 @@ Algorithm
    system to the linear case.  Exhausting the enumeration budget yields
    UNKNOWN — this is the solver's documented incompleteness boundary
    (mirroring the paper's reliance on Z3's nonlinear heuristics, §5.3).
+   The enumeration answers SAT or UNKNOWN, *never* UNSAT: a conjunction
+   whose propagation leaves a product atom is never refuted.
 3. The *linear* core is solved by Gaussian elimination of equalities,
    Fourier–Motzkin elimination of inequalities over the rationals with
    back-substitution model construction, then branch-and-bound to repair
    fractional values, and splitting to repair violated disequalities.
+
+Explanations
+------------
+Every constraint carries an *origin*: a bitmask of the input constraints
+it was derived from.  Substituting a pin ORs in the origin of the
+constraint that pinned it; a Gaussian substitution ORs in the origin of
+its equality; a Fourier–Motzkin combination is the OR of its two
+parents.  An UNSAT answer derived by constant propagation, or by the
+rational relaxation at the root of branch-and-bound, carries the input
+constraints of the contradiction's origin as its
+:attr:`LiaResult.explanation`; that subset is itself refuted.  A
+refutation that needed branching carries none.
 
 Everything is exact (``fractions.Fraction``); no floating point.
 """
@@ -102,10 +116,27 @@ def normalize(expr: LinExpr, kind: str, *, strict: bool = False) -> Constraint:
 
 @dataclass
 class LiaResult:
-    """Outcome of a conjunction solve."""
+    """Outcome of a conjunction solve.
+
+    ``explanation`` is set on an UNSAT answer that constant propagation
+    or the root rational relaxation derived: the input constraints the
+    contradiction came from, in input order.  ``by_propagation`` says
+    constant propagation alone found it; the propagation of any superset
+    of the explanation then conflicts too (see ``Solver._shrink_core``)."""
 
     status: Result
     model: Optional[dict[LinAtom, int]] = None
+    explanation: Optional[tuple[Constraint, ...]] = None
+    by_propagation: bool = False
+
+
+class _Conflict(Exception):
+    """A contradiction derived from the input constraints in ``origin``
+    (a bitmask over input positions; 0 when untracked)."""
+
+    def __init__(self, origin: int) -> None:
+        super().__init__(origin)
+        self.origin = origin
 
 
 class LiaSolver:
@@ -143,8 +174,16 @@ class LiaSolver:
 
     # -- public entry --------------------------------------------------
 
-    def solve(self, constraints: Sequence[Constraint]) -> LiaResult:
+    def solve(
+        self, constraints: Sequence[Constraint], *, refute_only: bool = False
+    ) -> LiaResult:
         """Decide a conjunction; model covers every atom mentioned.
+
+        With ``refute_only`` the caller asks only "is this UNSAT?": the
+        solve stops after constant propagation when a product atom
+        remains, since the enumeration could only answer SAT or UNKNOWN,
+        and reports UNKNOWN without a model.  Any other answer is the
+        full one.
 
         Results are memoized by constraint set; callers must not mutate
         a returned model."""
@@ -154,14 +193,12 @@ class LiaSolver:
             self._memo.move_to_end(key)
             return hit
         try:
-            model = self._solve_nonlinear(list(constraints))
+            result = self._solve_nonlinear(list(constraints), refute_only)
         except BudgetExhausted:
             result = LiaResult(Result.UNKNOWN)
-        else:
-            if model is None:
-                result = LiaResult(Result.UNSAT)
-            else:
-                result = LiaResult(Result.SAT, model)
+        if result is None:
+            # Not memoized: a full solve may well answer SAT.
+            return LiaResult(Result.UNKNOWN)
         self._memo[key] = result
         while len(self._memo) > self.memo_size:
             self._memo.popitem(last=False)
@@ -170,18 +207,26 @@ class LiaSolver:
     # -- nonlinear layer -------------------------------------------------
 
     def _solve_nonlinear(
-        self, constraints: list[Constraint]
-    ) -> Optional[dict[LinAtom, int]]:
-        constraints, pinned = _propagate_constants(constraints)
+        self, inputs: list[Constraint], refute_only: bool
+    ) -> Optional[LiaResult]:
+        origins = [1 << i for i in range(len(inputs))]
+        constraints, pinned = _propagate_constants(inputs, origins)
         if constraints is None:
-            return None
+            return _refuted(inputs, origins[0], by_propagation=True)
         nonlin_vars = _nonlinear_vars(constraints)
         if not nonlin_vars:
-            model = self._solve_linear(constraints, self.branch_budget)
+            try:
+                model = self._solve_linear(
+                    constraints, self.branch_budget, origins
+                )
+            except _Conflict as conflict:
+                return _refuted(inputs, conflict.origin, by_propagation=False)
             if model is None:
-                return None
+                return LiaResult(Result.UNSAT)
             model.update(pinned)
-            return _complete_products(model)
+            return LiaResult(Result.SAT, _complete_products(model))
+        if refute_only:
+            return None
 
         # Bounded fair enumeration over the nonlinear variables.
         ordered = sorted(nonlin_vars, key=lambda v: v.name)
@@ -204,15 +249,21 @@ class LiaSolver:
                 model.update(more_pinned)
                 for v, val in subst.items():
                     model[v] = val
-                return _complete_products(model)
+                return LiaResult(Result.SAT, _complete_products(model))
         raise BudgetExhausted("nonlinear enumeration exhausted")
 
     # -- linear layer ------------------------------------------------------
 
     def _solve_linear(
-        self, constraints: list[Constraint], budget: int
+        self,
+        constraints: list[Constraint],
+        budget: int,
+        origins: Optional[list[int]] = None,
     ) -> Optional[dict[LinAtom, int]]:
-        """Branch-and-bound around the rational relaxation."""
+        """Branch-and-bound around the rational relaxation.
+
+        With ``origins`` (one per constraint), an infeasible root
+        relaxation raises :class:`_Conflict` with its origin."""
         stack: list[list[Constraint]] = [constraints]
         spent = 0
         while stack:
@@ -220,8 +271,11 @@ class LiaSolver:
             spent += 1
             if spent > budget:
                 raise BudgetExhausted("branch-and-bound budget")
-            rat = _solve_rational(cons)
-            if rat is None:
+            try:
+                rat = _solve_rational(cons, origins if spent == 1 else None)
+            except _Conflict:
+                if origins is not None and spent == 1:
+                    raise
                 continue
             # Repair a fractional assignment first.
             frac = next(
@@ -264,13 +318,16 @@ class LiaSolver:
 
 
 def _solve_rational(
-    constraints: list[Constraint],
-) -> Optional[dict[LinAtom, Fraction]]:
+    constraints: list[Constraint], origins: Optional[list[int]] = None
+) -> dict[LinAtom, Fraction]:
     """Satisfy the eq/le constraints over the rationals, ignoring ne
     (handled by splitting in the caller).  Returns an assignment for every
-    atom mentioned, or None if infeasible."""
-    eqs = [c.expr for c in constraints if c.kind == EQ]
-    les = [c.expr for c in constraints if c.kind == LE]
+    atom mentioned; raises :class:`_Conflict` if infeasible, with the OR
+    of the ``origins`` (one per constraint) the contradiction used."""
+    if origins is None:
+        origins = [0] * len(constraints)
+    eqs = [(c.expr, o) for c, o in zip(constraints, origins) if c.kind == EQ]
+    les = [(c.expr, o) for c, o in zip(constraints, origins) if c.kind == LE]
     all_atoms: set[LinAtom] = set()
     for c in constraints:
         all_atoms |= c.expr.atoms()
@@ -278,30 +335,29 @@ def _solve_rational(
     # Gaussian elimination of equalities.
     substitutions: list[tuple[LinAtom, LinExpr]] = []
     while eqs:
-        e = eqs.pop()
+        e, origin = eqs.pop()
         if e.is_constant:
             if e.const != 0:
-                return None
+                raise _Conflict(origin)
             continue
         atom, coeff = e.coeffs[0]
         # atom = -(e - coeff*atom)/coeff
         rest = e.substitute(atom, LinExpr.constant(0))
         repl = rest.scale(Fraction(-1, 1) / coeff)
         substitutions.append((atom, repl))
-        eqs = [x.substitute(atom, repl) for x in eqs]
-        les = [x.substitute(atom, repl) for x in les]
+        eqs = _substitute_tracked(eqs, atom, repl, origin)
+        les = _substitute_tracked(les, atom, repl, origin)
 
     # Fourier–Motzkin elimination with recorded stages.
-    les = [e for e in les if not (e.is_constant and e.const <= 0)]
-    for e in les:
+    for e, origin in les:
         if e.is_constant and e.const > 0:
-            return None
+            raise _Conflict(origin)
     stages: list[tuple[LinAtom, list[LinExpr], list[LinExpr]]] = []
-    remaining = [e for e in les if not e.is_constant]
+    remaining = [(e, o) for e, o in les if not e.is_constant]
 
-    def pick_var(exprs: list[LinExpr]) -> LinAtom:
+    def pick_var(exprs: list[tuple[LinExpr, int]]) -> LinAtom:
         counts: dict[LinAtom, tuple[int, int]] = {}
-        for e in exprs:
+        for e, _ in exprs:
             for a, c in e.coeffs:
                 lo, hi = counts.get(a, (0, 0))
                 if c < 0:
@@ -315,26 +371,30 @@ def _solve_rational(
         x = pick_var(remaining)
         lowers: list[LinExpr] = []  # x >= expr
         uppers: list[LinExpr] = []  # x <= expr
-        others: list[LinExpr] = []
-        for e in remaining:
+        lower_origins: list[int] = []
+        upper_origins: list[int] = []
+        others: list[tuple[LinExpr, int]] = []
+        for e, origin in remaining:
             c = e.coeff_of(x)
             if c == 0:
-                others.append(e)
+                others.append((e, origin))
                 continue
             rest = e.substitute(x, LinExpr.constant(0)).scale(Fraction(-1) / c)
             if c > 0:
                 uppers.append(rest)  # c*x + rest' <= 0  =>  x <= rest
+                upper_origins.append(origin)
             else:
                 lowers.append(rest)
+                lower_origins.append(origin)
         stages.append((x, lowers, uppers))
-        for lo in lowers:
-            for up in uppers:
+        for lo, lo_origin in zip(lowers, lower_origins):
+            for up, up_origin in zip(uppers, upper_origins):
                 combo = lo.sub(up)  # lo <= x <= up  =>  lo - up <= 0
                 if combo.is_constant:
                     if combo.const > 0:
-                        return None
+                        raise _Conflict(lo_origin | up_origin)
                 else:
-                    others.append(combo)
+                    others.append((combo, lo_origin | up_origin))
         remaining = others
 
     # Back-substitution: assign eliminated variables innermost-first.
@@ -359,6 +419,28 @@ def _solve_rational(
         assignment[atom] = _eval_lin_frac(repl, assignment)
 
     return assignment
+
+
+def _substitute_tracked(
+    exprs: list[tuple[LinExpr, int]], atom: LinAtom, repl: LinExpr, origin: int
+) -> list[tuple[LinExpr, int]]:
+    """Substitute ``repl`` for ``atom``; a rewritten expression's origin
+    gains ``origin``."""
+    return [
+        (e, o) if (new := e.substitute(atom, repl)) is e else (new, o | origin)
+        for e, o in exprs
+    ]
+
+
+def _refuted(
+    inputs: list[Constraint], origin: int, *, by_propagation: bool
+) -> LiaResult:
+    """The UNSAT result explained by the inputs in ``origin``."""
+    return LiaResult(
+        Result.UNSAT,
+        explanation=tuple(c for i, c in enumerate(inputs) if origin >> i & 1),
+        by_propagation=by_propagation,
+    )
 
 
 def _pick_value(lb: Optional[Fraction], ub: Optional[Fraction]) -> Fraction:
@@ -400,7 +482,7 @@ def _eval_lin(e: LinExpr, env: dict[LinAtom, int]) -> Fraction:
 
 
 def _propagate_constants(
-    constraints: list[Constraint],
+    constraints: list[Constraint], origins: Optional[list[int]] = None
 ) -> tuple[Optional[list[Constraint]], dict[LinAtom, int]]:
     """Repeatedly pin *variables* forced to a constant by a unary equality
     and fold nonlinear product atoms whose factors become known.
@@ -413,11 +495,22 @@ def _propagate_constants(
     product ``_fold_products`` would change; every other constraint
     would come out of the rewrite unchanged.
 
+    ``origins``, when given, holds one origin per constraint (see the
+    module docstring); a rewrite ORs in the origin of every pin it
+    substitutes.  The list is rewritten in place: to the origins of the
+    returned constraints, or to the one origin of a contradiction.
+
     Returns (constraints', pinned) where constraints' is None on direct
     contradiction.
     """
     pinned: dict[LinAtom, int] = {}
     cons = list(constraints)
+    origin = origins if origins is not None else [0] * len(cons)
+    pin_origin: dict[LinAtom, int] = {}
+
+    def conflict(o: int) -> tuple[None, dict[LinAtom, int]]:
+        origin[:] = [o]
+        return None, pinned
     alive = [True] * len(cons)
     check: Sequence[int] = range(len(cons))
     # Variable -> positions whose constraint mentions it, directly or as
@@ -439,7 +532,7 @@ def _propagate_constants(
                     or (c.kind == NE and v != 0)
                 )
                 if not ok:
-                    return None, pinned
+                    return conflict(origin[i])
                 alive[i] = False
                 progress = True
                 continue
@@ -447,13 +540,14 @@ def _propagate_constants(
                 atom, coeff = e.coeffs[0]
                 value = -e.const / coeff
                 if value.denominator != 1:
-                    return None, pinned
+                    return conflict(origin[i])
                 if isinstance(atom, Var):
                     prev = pinned.get(atom)
                     if prev is None:
                         fresh[atom] = pinned[atom] = int(value)
+                        pin_origin[atom] = origin[i]
                     elif prev != value:
-                        return None, pinned
+                        return conflict(origin[i] | pin_origin[atom])
                     alive[i] = False
                     progress = True
                     continue
@@ -471,6 +565,9 @@ def _propagate_constants(
             if positions:
                 touched.update(positions)
                 subst[a] = LinExpr.constant(v)
+                pin = pin_origin[a]
+                for p in positions:
+                    origin[p] |= pin
         check = sorted(i for i in touched if alive[i])
         foldable = set()
         for i in check:
@@ -478,6 +575,7 @@ def _propagate_constants(
             e = _fold_products(c.expr.substitute_many(subst), pinned)
             cons[i] = Constraint(e, c.kind)
             _index(i, e, pinned, occurs, foldable)
+    origin[:] = [o for o, keep in zip(origin, alive) if keep]
     return [c for c, keep in zip(cons, alive) if keep], pinned
 
 

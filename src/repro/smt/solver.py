@@ -1,8 +1,9 @@
 """The solver facade: a lazy DPLL(T) loop over the CDCL core and the LIA
 conjunction solver.
 
-This module is the reproduction's stand-in for Z3 (see DESIGN.md).  The
-public surface mimics the slice of the z3py API the paper's tool needs:
+This module is the reproduction's stand-in for Z3 (see
+docs/ARCHITECTURE.md, "First-order solver").  The public surface mimics
+the slice of the z3py API the paper's tool needs:
 
 * :class:`Solver` with ``add``, ``push``/``pop``, ``check`` and ``model``
   — *really* incremental since schema v5: scopes are selector-guarded
@@ -38,7 +39,7 @@ from typing import Optional
 from .cache import GLOBAL_CACHE, canonicalize
 from .cnf import AtomMap, to_cnf
 from .errors import Result, SolverError
-from .lia import EQ, LE, NE, Constraint, LiaSolver, normalize
+from .lia import EQ, LE, NE, Constraint, LiaResult, LiaSolver, normalize
 from .linearize import linearize
 from .sat import SatSolver
 from .simplify import simplify, to_nnf
@@ -550,7 +551,7 @@ class Solver:
             if res.status is Result.UNKNOWN:
                 unknown_seen = True
             else:
-                core = self._shrink_core(lits)
+                core = self._shrink_core(lits, res)
             blocking = [
                 (-self._atoms.var_for(a)) if pol else self._atoms.var_for(a)
                 for a, pol in core
@@ -570,21 +571,78 @@ class Solver:
         return Result.UNKNOWN
 
     def _shrink_core(
-        self, lits: list[tuple[Formula, bool]]
+        self,
+        lits: list[tuple[Formula, bool]],
+        refuted: LiaResult,
     ) -> list[tuple[Formula, bool]]:
-        """Deletion-based unsat-core shrinking (keeps lemmas strong)."""
+        """Deletion-based unsat-core shrinking (keeps lemmas strong).
+
+        Conflicts of more than 40 literals come back unchanged: the
+        deletion loop costs one trial per literal.  Otherwise literal
+        ``i`` is dropped when the LIA solver refutes the core without
+        it, trying each literal once in order.  ``refuted`` is the LIA
+        solver's UNSAT answer for ``lits`` itself.
+
+        The loop asks only "does this trial refute?" and skips the
+        trials whose answer is already known, so the core is the one a
+        plain solve per trial would give:
+
+        * **Rule K** (keep): ``solve(..., refute_only=True)`` stops
+          after constant propagation when a product atom remains.  The
+          nonlinear enumeration after it never refutes, so the literal
+          is kept either way.
+        * **Rule R** (remove): an UNSAT answer may carry an explanation
+          ``E``, a subset of its input refuted on its own (see
+          ``LiaResult.explanation``).  A later trial that contains an
+          earlier ``E`` is dropped without a solve when ``E`` was
+          refuted by constant propagation, or when the trial has no
+          product atom.  Propagation is monotone: on a superset of
+          ``E`` it pins every value it pinned on ``E``, or conflicts
+          sooner, so it conflicts again.  A root rational contradiction
+          makes ``E``, and so the trial, infeasible over the rationals;
+          with no product atom the trial reaches branch-and-bound,
+          where Fourier–Motzkin, complete over the rationals, refutes
+          it at the root.
+        """
         if len(lits) > 40:
             return lits
-        core = list(lits)
+        cons = [self._constraint(a, pol) for a, pol in lits]
+        # One bit per distinct constraint: explanations name constraints.
+        bit: dict[Constraint, int] = {}
+        lit_bits = [bit.setdefault(c, 1 << len(bit)) for c in cons]
+        nonlinear = 0
+        for c, b in bit.items():
+            if any(isinstance(a, Mul) for a, _ in c.expr.coeffs):
+                nonlinear |= b
+        known: list[tuple[int, bool]] = []  # (explanation bits, by propagation)
+
+        def learn(res: LiaResult) -> None:
+            if res.explanation is not None:
+                mask = 0
+                for c in res.explanation:
+                    mask |= bit[c]
+                known.append((mask, res.by_propagation))
+
+        learn(refuted)
+        core = list(range(len(lits)))
         i = 0
         while i < len(core):
             trial = core[:i] + core[i + 1 :]
-            constraints = [self._constraint(a, pol) for a, pol in trial]
-            if self._lia.solve(constraints).status is Result.UNSAT:
-                core = trial
-            else:
-                i += 1
-        return core
+            present = 0
+            for j in trial:
+                present |= lit_bits[j]
+            linear = not present & nonlinear
+            if not any(
+                not mask & ~present and (by_propagation or linear)
+                for mask, by_propagation in known
+            ):
+                res = self._lia.solve([cons[j] for j in trial], refute_only=True)
+                if res.status is not Result.UNSAT:
+                    i += 1
+                    continue
+                learn(res)
+            core = trial
+        return [lits[j] for j in core]
 
     def _build_model(self, env: dict, temp: _Scope) -> Model:
         full_env: dict[Var, int] = {}

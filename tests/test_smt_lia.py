@@ -4,7 +4,10 @@
 * model soundness over small random conjunctions, against brute force;
 * the one-pass constant propagation against a copy of the earlier
   rounds x pinned implementation, which is kept here as the oracle,
-  plus a work bound on a long equality chain.
+  plus a work bound on a long equality chain;
+* the invariants unsat-core shrinking relies on: no refutation once
+  propagation leaves a product atom, and every explanation a refuted
+  subset of the input.
 """
 
 from __future__ import annotations
@@ -324,3 +327,108 @@ def test_substitution_work_is_linear_on_a_long_chain(monkeypatch):
     assert out == []
     assert pinned == {x: 5 + i for i, x in enumerate(xs)}
     assert rewrites <= 2 * n
+
+
+# ---------------------------------------------------------------------------
+# Invariants unsat-core shrinking relies on
+# ---------------------------------------------------------------------------
+
+#: Keeps the budget-exhausting members of the populations cheap.
+SMALL_BUDGETS = dict(branch_budget=100, enum_budget=300)
+
+
+def _value(atom: Term, env: dict) -> int:
+    if isinstance(atom, IntConst):
+        return atom.value
+    if isinstance(atom, Mul):
+        out = 1
+        for f in atom.args:
+            out *= _value(f, env)
+        return out
+    return env[atom]
+
+
+def _satisfied(c: Constraint, env: dict) -> bool:
+    v = c.expr.const + sum(k * _value(a, env) for a, k in c.expr.coeffs)
+    return v == 0 if c.kind == EQ else v <= 0 if c.kind == LE else v != 0
+
+
+def _variables(atom: Term) -> set:
+    if isinstance(atom, Mul):
+        return set().union(*(_variables(f) for f in atom.args))
+    return {atom} if isinstance(atom, Var) else set()
+
+
+def small_conjunction(rng: random.Random) -> list[Constraint]:
+    """Two to six literals over x, y, z and the products x*y, y*z:
+    pins, linear eq/le/ne literals and product literals."""
+    atoms: list[LinAtom] = [X, Y, Z, Mul((X, Y)), Mul((Y, Z))]
+    cons = []
+    for _ in range(rng.randint(2, 6)):
+        if rng.random() < 0.3:
+            cons.append(Constraint(lin(rng.randint(-3, 3), **{rng.choice("xyz"): 1}), EQ))
+            continue
+        chosen = rng.sample(atoms[:3], rng.randint(1, 3))
+        if rng.random() < 0.4:
+            chosen.append(rng.choice(atoms[3:]))
+        expr = LinExpr.from_dict(
+            {a: Fraction(rng.choice([-2, -1, 1, 2, 3])) for a in chosen},
+            Fraction(rng.randint(-5, 5)),
+        )
+        kind = rng.choice([EQ, LE, LE, NE])
+        cons.append(normalize(expr, kind, strict=kind == LE and rng.random() < 0.5))
+    return cons
+
+
+def test_solve_never_refutes_when_propagation_leaves_a_product():
+    # Shrinking keeps a literal without enumerating once propagation
+    # leaves a product atom; an enumeration that refutes breaks that.
+    rng = random.Random(2024)
+    nonlinear = 0
+    for i in range(600):
+        cons = (small_conjunction if i % 2 else random_conjunction)(rng)
+        reduced, _ = lia._propagate_constants(cons)
+        solver = LiaSolver(**SMALL_BUDGETS)
+        full = solver.solve(cons)
+        if reduced is None or not lia._nonlinear_vars(reduced):
+            assert LiaSolver(**SMALL_BUDGETS).solve(cons, refute_only=True) == full
+            continue
+        nonlinear += 1
+        assert full.status is not Result.UNSAT, cons
+        assert LiaSolver(**SMALL_BUDGETS).solve(
+            cons, refute_only=True
+        ).status is Result.UNKNOWN
+    assert nonlinear >= 50
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_explanations_are_refuted_subsets(seed):
+    rng = random.Random(500 + seed)
+    routes = {True: 0, False: 0}
+    for i in range(400):
+        if i % 2:
+            cons = small_conjunction(rng)
+        else:
+            # Inequalities only: refuted at the root or by branching.
+            lits = [random_literal(rng, ["x", "y"]) for _ in range(rng.randint(3, 6))]
+            cons = [normalize(e, LE, strict=s) for e, _, s in lits]
+        res = LiaSolver(**SMALL_BUDGETS).solve(cons)
+        if res.explanation is None:
+            continue
+        routes[res.by_propagation] += 1
+        expl = res.explanation
+        assert expl and set(expl) <= set(cons), (cons, expl)
+        assert LiaSolver(**SMALL_BUDGETS).solve(list(expl)).status is Result.UNSAT
+        reduced, _ = lia._propagate_constants(list(expl))
+        if res.by_propagation:
+            assert reduced is None, expl
+        else:
+            assert reduced is not None and not lia._nonlinear_vars(reduced), expl
+        variables = sorted(
+            set().union(*(_variables(a) for c in expl for a, _ in c.expr.coeffs)),
+            key=lambda v: v.name,
+        )
+        for point in itertools.product(range(-6, 7), repeat=len(variables)):
+            env = dict(zip(variables, point))
+            assert not all(_satisfied(c, env) for c in expl), (expl, env)
+    assert min(routes.values()) >= 20, routes

@@ -3,8 +3,12 @@
 These exercise exactly the query shapes the paper's heap translation
 produces: conjunctions of equalities with linear combinations, zero/nonzero
 refinements, case-mapping consistency, and validity queries for the proof
-relation (Fig. 5).
+relation (Fig. 5).  Unsat-core shrinking is compared with the plain
+deletion loop, kept here as the oracle, on seeded random conflicts.
 """
+
+import collections
+import random
 
 import pytest
 
@@ -34,6 +38,8 @@ from repro.smt import (
     mk_var,
 )
 from repro.smt.errors import SolverError
+from repro.smt.lia import LiaResult, LiaSolver
+from repro.smt.terms import Eq, Le, Lt, Mul
 
 x, y, z, w = mk_var("x"), mk_var("y"), mk_var("z"), mk_var("w")
 
@@ -298,3 +304,151 @@ class TestSolverInterface:
         s.add(mk_eq(x, 3))
         assert s.check() is Result.SAT
         assert "x = 3" in repr(s.model())
+
+
+# ---------------------------------------------------------------------------
+# Unsat-core shrinking against the plain deletion loop
+# ---------------------------------------------------------------------------
+
+#: Small budgets keep the oracle's nonlinear trials cheap; both sides of
+#: every comparison use the same ones.
+BUDGETS = dict(branch_budget=40, enum_budget=100)
+VARS = [x, y, z, w]
+
+
+def oracle_shrink_core(solver, lits):
+    """The earlier deletion loop, verbatim but for a fresh LIA solver:
+    one full solve per trial."""
+    lia = LiaSolver(**BUDGETS)
+    if len(lits) > 40:
+        return lits
+    core = list(lits)
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1 :]
+        constraints = [solver._constraint(a, pol) for a, pol in trial]
+        if lia.solve(constraints).status is Result.UNSAT:
+            core = trial
+        else:
+            i += 1
+    return core
+
+
+def _linear(rng, names):
+    terms = [mk_mul(rng.choice([-2, -1, 1, 1, 2, 3]), v) for v in names]
+    return mk_add(*terms, rng.randint(-4, 4))
+
+
+def _relation(rng, lhs, rhs):
+    return rng.choice([Eq, Le, Lt])(lhs, rhs), rng.random() < 0.75
+
+
+def _noise(rng):
+    vs = rng.sample(VARS, rng.randint(1, 3))
+    if rng.random() < 0.25:
+        return _relation(rng, mk_mul(*rng.sample(VARS, 2)), _linear(rng, vs[:1]))
+    return _relation(rng, _linear(rng, vs), mk_int(rng.randint(-6, 6)))
+
+
+def _seed_conflict(rng):
+    """Literals that refute by one of the LIA solver's routes."""
+    a, b, c = rng.sample(VARS, 3)
+    k = rng.randint(-5, 5)
+    route = rng.randrange(6)
+    if route == 0:  # propagation: a chain of pins that disagrees
+        return [
+            (Eq(a, mk_int(k)), True),
+            (Eq(b, mk_add(a, 1)), True),
+            (Eq(c, mk_sub(b, a)), True),
+            (Eq(c, mk_int(rng.choice([0, 2, 3]))), True),
+        ]
+    if route == 1:  # root Fourier–Motzkin: a + b <= k, a >= i, b >= j
+        i = rng.randint(-3, 3)
+        return [
+            (Le(mk_add(a, b), mk_int(k)), True),
+            (Le(mk_int(i), a), True),
+            (Lt(b, mk_int(k - i + 1)), False),
+        ]
+    if route == 2:  # integer gaps: 2a = 1, or 0 < a < 1
+        if rng.random() < 0.5:
+            return [(Eq(mk_mul(2, a), mk_int(1)), True)]
+        return [(Lt(mk_int(0), a), True), (Lt(a, mk_int(1)), True)]
+    if route == 3:  # branch-and-bound: a + b = 1 and a = b
+        return [(Eq(mk_add(a, b), mk_int(2 * k + 1)), True), (Eq(a, b), True)]
+    if route == 4:  # disequality split
+        return [
+            (Eq(a, mk_int(k)), False),
+            (Le(a, mk_int(k)), True),
+            (Le(mk_int(k), a), True),
+        ]
+    # a product that folds once its factors are pinned, or stays nonlinear
+    prod = mk_mul(a, b)
+    lits = [(Eq(prod, mk_int(6)), True), (Eq(a, mk_int(2)), True)]
+    if rng.random() < 0.5:
+        lits.append((Eq(b, mk_int(4)), True))
+    else:
+        lits.append((Le(b, mk_int(2)), True))
+    return lits
+
+
+def random_conflicts(seed, count):
+    """``count`` unsat literal lists (one per DPLL(T) conflict shape)."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        lits = _seed_conflict(rng) + [_noise(rng) for _ in range(rng.randint(0, 7))]
+        rng.shuffle(lits)
+        s = Solver(lia=LiaSolver(**BUDGETS))
+        cons = [s._constraint(a, pol) for a, pol in lits]
+        if LiaSolver(**BUDGETS).solve(cons).status is Result.UNSAT:
+            out.append(lits)
+    return out
+
+
+def _has_product(solver, lits):
+    return any(
+        isinstance(t, Mul)
+        for a, pol in lits
+        for t, _ in solver._constraint(a, pol).expr.coeffs
+    )
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shrink_core_matches_the_deletion_loop(seed):
+    kinds = collections.Counter()
+    for lits in random_conflicts(seed, 130):
+        oracle_solver = Solver(lia=LiaSolver(**BUDGETS))
+        want = oracle_shrink_core(oracle_solver, lits)
+        # With an unexplained refutation of the full list (as
+        # branch-and-bound gives), and with the solver's own.
+        s = Solver(lia=LiaSolver(**BUDGETS))
+        assert s._shrink_core(lits, LiaResult(Result.UNSAT)) == want, lits
+        s = Solver(lia=LiaSolver(**BUDGETS))
+        full = s._lia.solve([s._constraint(a, pol) for a, pol in lits])
+        assert s._shrink_core(lits, full) == want, lits
+        kinds["propagation" if full.by_propagation else
+              "root" if full.explanation else "branching"] += 1
+        if _has_product(s, lits):
+            # An UNKNOWN trial keeps its literal, necessary or not.
+            kinds["product"] += 1
+            continue
+        # Every kept literal is necessary.
+        check = LiaSolver(**BUDGETS)
+        for i in range(len(want)):
+            rest = want[:i] + want[i + 1 :]
+            res = check.solve([s._constraint(a, pol) for a, pol in rest])
+            assert res.status is not Result.UNSAT, (want, i)
+    assert min(kinds[k] for k in ("propagation", "root", "branching", "product")) >= 10, kinds
+
+
+def test_shrink_core_leaves_long_conflicts_alone():
+    rng = random.Random(5)
+    lits = [(Eq(x, mk_int(0)), True), (Eq(x, mk_int(1)), True)]
+    lits += [_noise(rng) for _ in range(40)]
+    s = Solver()
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a conflict over 40 literals is not shrunk")
+
+    s._lia.solve = no_solve
+    assert s._shrink_core(lits, LiaResult(Result.UNSAT)) == lits
